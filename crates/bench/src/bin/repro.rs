@@ -573,8 +573,8 @@ fn joint_ablation_rows() -> Vec<JointAblationRow> {
 /// queue takes at wide radii — screened box-by-box through the scalar
 /// [`FloatShadow`] and in K-lane groups through [`BatchFloatShadow`].
 /// Timing the propagation directly (rather than a whole cascade run,
-/// where the exact rational tier dominates wall time) isolates exactly
-/// the cost the batch layout changes. Per-box verdicts are asserted
+/// where the zonotope tier and exact point evaluations add their own
+/// cost) isolates exactly the cost the batch layout changes. Per-box verdicts are asserted
 /// bit-identical, a full interval-screened search per arm pins the
 /// end-to-end outcome, witness and counters, and at the wide radii
 /// (±30% and up) the batched arm is asserted not slower than scalar.

@@ -350,6 +350,20 @@ mod tests {
     use super::*;
     use fannet_nn::{Activation, DenseLayer, Readout};
     use fannet_tensor::Matrix;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that call [`run`]: every run bumps the
+    /// process-global span registry, which
+    /// `run_populates_the_pipeline_span_registry` counts exactly.
+    static RUN_LOCK: Mutex<()> = Mutex::new(());
+
+    fn run_lock() -> MutexGuard<'static, ()> {
+        // A panicking holder poisons the lock; the registry is still
+        // consistent, so later tests go on.
+        RUN_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     fn r(n: i128) -> Rational {
         Rational::from_integer(n)
@@ -413,6 +427,7 @@ mod tests {
 
     #[test]
     fn pipeline_end_to_end() {
+        let _serial = run_lock();
         let (exact, float) = nets();
         let (train, test) = datasets();
         let report = run(&exact, &float, &train, &test, &config());
@@ -463,6 +478,7 @@ mod tests {
 
     #[test]
     fn render_text_contains_all_sections() {
+        let _serial = run_lock();
         let (exact, float) = nets();
         let (train, test) = datasets();
         let report = run(&exact, &float, &train, &test, &config());
@@ -485,6 +501,7 @@ mod tests {
 
     #[test]
     fn run_populates_the_pipeline_span_registry() {
+        let _serial = run_lock();
         let (exact, float) = nets();
         let (train, test) = datasets();
         let counts_of = |name: &str| {

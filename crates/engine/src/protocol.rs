@@ -669,30 +669,64 @@ fn take_tolerance_grid(m: &mut Vec<(String, Value)>) -> Result<ToleranceSearch, 
     ))
 }
 
+/// A request line that failed to decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestError {
+    /// The request tag, when the line's `id` decoded before the failure.
+    pub id: Option<u64>,
+    /// Human-readable cause.
+    pub message: String,
+}
+
+impl RequestError {
+    fn untagged(message: impl Into<String>) -> Self {
+        RequestError {
+            id: None,
+            message: message.into(),
+        }
+    }
+
+    /// The error response answering the failed line.
+    #[must_use]
+    pub fn into_response(self) -> Response {
+        Response::Error {
+            id: self.id,
+            message: self.message,
+        }
+    }
+}
+
 /// Decodes one JSONL line into a [`Request`].
 ///
 /// # Errors
 ///
 /// Returns a human-readable message for malformed JSON, unknown ops,
-/// missing fields or out-of-model regions. The caller wraps it into a
-/// [`Response::Error`] so one bad line never kills a serving session.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value: Value = ValueDocument::parse(line)?;
+/// missing fields or out-of-model regions, tagged with the request's
+/// `id` whenever that field decoded. The caller answers it with
+/// [`RequestError::into_response`] so one bad line never kills a
+/// serving session.
+pub fn parse_request(line: &str) -> Result<Request, RequestError> {
+    let value: Value = ValueDocument::parse(line).map_err(RequestError::untagged)?;
     let Value::Map(mut m) = value else {
-        return Err("request line must be a JSON object".to_string());
+        return Err(RequestError::untagged("request line must be a JSON object"));
     };
-    let op = match take_entry(&mut m, "op") {
+    let id: Option<u64> = take_parsed(&mut m, "id").map_err(RequestError::untagged)?;
+    decode_request(&mut m, id).map_err(|message| RequestError { id, message })
+}
+
+/// Decodes the fields after `id` of one request object.
+fn decode_request(m: &mut Vec<(String, Value)>, id: Option<u64>) -> Result<Request, String> {
+    let op = match take_entry(m, "op") {
         Some(Value::Str(s)) => s,
         Some(other) => return Err(format!("`op` must be a string, found {other:?}")),
         None => return Err("missing field `op`".to_string()),
     };
-    let id: Option<u64> = take_parsed(&mut m, "id")?;
-    let trace: bool = take_parsed(&mut m, "trace")?.unwrap_or(false);
+    let trace: bool = take_parsed(m, "trace")?.unwrap_or(false);
     match op.as_str() {
         "check" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
-            let region = take_region(&mut m, input.len())?;
+            let input = take_input(m)?;
+            let label = take_required(m, "label")?;
+            let region = take_region(m, input.len())?;
             Ok(Request::Check {
                 id,
                 input,
@@ -702,9 +736,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             })
         }
         "tolerance" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
-            let max_delta = take_parsed(&mut m, "max_delta")?.unwrap_or(DEFAULT_MAX_DELTA);
+            let input = take_input(m)?;
+            let label = take_required(m, "label")?;
+            let max_delta = take_parsed(m, "max_delta")?.unwrap_or(DEFAULT_MAX_DELTA);
             if !(1..=100).contains(&max_delta) {
                 return Err(format!("max_delta {max_delta} outside [1, 100]"));
             }
@@ -717,10 +751,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             })
         }
         "sensitivity" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
-            let region = take_region(&mut m, input.len())?;
-            let cap = take_parsed(&mut m, "cap")?.unwrap_or(DEFAULT_CAP);
+            let input = take_input(m)?;
+            let label = take_required(m, "label")?;
+            let region = take_region(m, input.len())?;
+            let cap = take_parsed(m, "cap")?.unwrap_or(DEFAULT_CAP);
             if cap == 0 {
                 return Err("cap must be positive".to_string());
             }
@@ -733,9 +767,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             })
         }
         "fault_check" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
-            let model = take_fault_model(&mut m)?;
+            let input = take_input(m)?;
+            let label = take_required(m, "label")?;
+            let model = take_fault_model(m)?;
             Ok(Request::FaultCheck {
                 id,
                 input,
@@ -745,9 +779,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             })
         }
         "fault_tolerance" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
-            let search = take_tolerance_grid(&mut m)?;
+            let input = take_input(m)?;
+            let label = take_required(m, "label")?;
+            let search = take_tolerance_grid(m)?;
             Ok(Request::FaultTolerance {
                 id,
                 input,
@@ -757,10 +791,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             })
         }
         "joint_check" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
-            let region = take_region(&mut m, input.len())?;
-            let model = take_fault_model(&mut m)?;
+            let input = take_input(m)?;
+            let label = take_required(m, "label")?;
+            let region = take_region(m, input.len())?;
+            let model = take_fault_model(m)?;
             Ok(Request::JointCheck {
                 id,
                 input,
@@ -771,13 +805,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             })
         }
         "joint_tolerance" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
-            let delta: i64 = take_parsed(&mut m, "delta")?.unwrap_or(0);
+            let input = take_input(m)?;
+            let label = take_required(m, "label")?;
+            let delta: i64 = take_parsed(m, "delta")?.unwrap_or(0);
             if !(0..=100).contains(&delta) {
                 return Err(format!("delta {delta} outside the model's [0, 100] range"));
             }
-            let search = take_tolerance_grid(&mut m)?;
+            let search = take_tolerance_grid(m)?;
             Ok(Request::JointTolerance {
                 id,
                 input,
@@ -1739,16 +1773,19 @@ mod tests {
         assert!(
             parse_request(r#"{"op":"joint_check","input":[1,2],"label":0,"delta":3}"#)
                 .unwrap_err()
+                .message
                 .contains("missing field `model`")
         );
         assert!(
             parse_request(r#"{"op":"joint_tolerance","input":[1,2],"label":0,"delta":101}"#)
                 .unwrap_err()
+                .message
                 .contains("outside the model's")
         );
         assert!(
             parse_request(r#"{"op":"joint_tolerance","input":[1,2],"label":0,"denom":0}"#)
                 .unwrap_err()
+                .message
                 .contains("denom must be positive")
         );
     }
@@ -1865,7 +1902,11 @@ mod tests {
             ),
         ] {
             let err = parse_request(line).unwrap_err();
-            assert!(err.contains(needle), "`{line}` → `{err}` lacks `{needle}`");
+            assert!(
+                err.message.contains(needle),
+                "`{line}` → `{}` lacks `{needle}`",
+                err.message
+            );
         }
     }
 
@@ -1951,8 +1992,54 @@ mod tests {
             ),
         ] {
             let err = parse_request(line).unwrap_err();
-            assert!(err.contains(needle), "`{line}` → `{err}` lacks `{needle}`");
+            assert!(
+                err.message.contains(needle),
+                "`{line}` → `{}` lacks `{needle}`",
+                err.message
+            );
         }
+    }
+
+    #[test]
+    fn request_errors_carry_the_id_whenever_it_decoded() {
+        for (line, id, needle) in [
+            (r#"{"op":"frobnicate","id":9}"#, Some(9), "unknown op"),
+            (
+                r#"{"id":4,"op":"tolerance","input":["1","2"],"label":0,"max_delta":0}"#,
+                Some(4),
+                "outside [1, 100]",
+            ),
+            (
+                r#"{"input":[],"label":0,"id":3}"#,
+                Some(3),
+                "missing field `op`",
+            ),
+            (
+                r#"{"op":"check","id":5,"input":["1","2"],"label":0,"delta":5,"trace":"yes"}"#,
+                Some(5),
+                "bad `trace`",
+            ),
+            (r#"{"op":"frobnicate"}"#, None, "unknown op"),
+            (r#"{"op":"stats","id":"x"}"#, None, "bad `id`"),
+            ("not json", None, "malformed JSON"),
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert_eq!(err.id, id, "`{line}`");
+            assert!(err.message.contains(needle), "`{line}` → {err:?}");
+        }
+    }
+
+    #[test]
+    fn request_errors_render_their_id() {
+        let err = parse_request(r#"{"op":"frobnicate","id":9}"#).unwrap_err();
+        let line = render_response(&err.into_response());
+        assert!(
+            line.starts_with(r#"{"op":"error","id":9,"message":"unknown op `frobnicate`"#),
+            "{line}"
+        );
+        let err = parse_request(r#"{"op":"frobnicate"}"#).unwrap_err();
+        let line = render_response(&err.into_response());
+        assert!(line.starts_with(r#"{"op":"error","message":"#), "{line}");
     }
 
     #[test]

@@ -285,6 +285,21 @@ impl FaultChecker {
         timer: TierTimer,
     ) -> Result<(FaultOutcome, FaultStats), String> {
         validate_query(&self.net, x, label, noise)?;
+        let tiers = FaultTiers::new(&self.net, x, label, noise, self.config.screening);
+        self.check_with_tiers(x, label, noise, model, &tiers, timer)
+    }
+
+    /// The validated body of [`FaultChecker::check_with_noise_timed`]:
+    /// concrete probes, then the budgeted search over `tiers`.
+    fn check_with_tiers(
+        &self,
+        x: &[Rational],
+        label: usize,
+        noise: &NoiseRegion,
+        model: &FaultModel,
+        tiers: &FaultTiers<'_>,
+        timer: TierTimer,
+    ) -> Result<(FaultOutcome, FaultStats), String> {
         let root = FaultRegion::lift(&self.net, model)?;
         let mut stats = FaultStats::default();
 
@@ -306,7 +321,6 @@ impl FaultChecker {
             }
         }
 
-        let tiers = FaultTiers::new(&self.net, x, label, noise, self.config.screening);
         let domain = FaultQuery {
             x,
             label,
@@ -660,10 +674,44 @@ impl Classifier<FaultRegion> for FaultZonotopeScreen<'_> {
     }
 }
 
+/// Relative slack of the exact-tier gate: how far, as a fraction of the
+/// largest output endpoint magnitude (at least 1), the float enclosure's
+/// endpoints may stray from the exact enclosure's. Outward rounding moves
+/// them by about one ulp (2⁻⁵² relative) per operation, so 2⁻²⁰ leaves a
+/// margin of ~2³² ulps for the dozens of operations a forward pass takes.
+const GATE_SLACK: f64 = 1.0 / 1_048_576.0;
+
+/// Whether exact interval propagation could still decide a box whose
+/// float interval enclosure is `outputs` (DESIGN.md §11).
+///
+/// The exact enclosure lies inside the float one and differs from it
+/// only by outward rounding, so exact can prove the label only if every
+/// rival's upper bound is within the slack of the label's lower bound,
+/// and a flip only if some rival's lower bound is within the slack of the
+/// label's upper bound. An unbounded enclosure answers `true`.
+pub(crate) fn exact_could_decide(outputs: &[FloatInterval], label: usize) -> bool {
+    let scale = outputs
+        .iter()
+        .fold(1.0_f64, |m, o| m.max(o.lo().abs()).max(o.hi().abs()));
+    let slack = GATE_SLACK * scale;
+    let target = &outputs[label];
+    let rivals = || outputs.iter().enumerate().filter(|&(j, _)| j != label);
+    // A NaN gap (∞ − ∞) is unordered and stays on the "could decide" side.
+    let within_slack = |gap: f64| gap.partial_cmp(&slack) != Some(std::cmp::Ordering::Greater);
+    rivals().all(|(_, rival)| within_slack(rival.hi() - target.lo()))
+        || rivals().any(|(_, rival)| within_slack(target.hi() - rival.lo()))
+}
+
 /// The exact interval tier — always last; unlike the input-noise domain
-/// there is no grid-point fallback below it.
+/// there is no grid-point fallback below it, so exact arithmetic is what
+/// proves ties outward-rounded floats cannot. Behind a screen (`gate`
+/// set) a non-point box runs it only when [`exact_could_decide`]; a
+/// skipped box answers `Unknown`, which is always sound.
 pub(crate) struct FaultExactTier {
     x: Vec<Interval>,
+    /// The float input enclosure the gate propagates; `None` in the
+    /// exact-only oracle ([`ScreeningTier::None`]).
+    gate: Option<Vec<FloatInterval>>,
     label: usize,
 }
 
@@ -672,6 +720,11 @@ impl Classifier<FaultRegion> for FaultExactTier {
         TierKind::Exact
     }
     fn classify(&self, region: &FaultRegion) -> BoxVerdict {
+        if let Some(xf) = &self.gate {
+            if !region.is_point() && !exact_could_decide(&region.float_outputs(xf), self.label) {
+                return BoxVerdict::Unknown;
+            }
+        }
         classify_box(&region.output_intervals(&self.x), self.label)
     }
 }
@@ -703,6 +756,7 @@ impl<'a> FaultTiers<'a> {
                 .then_some(FaultZonotopeScreen { x, noise, label }),
             exact: FaultExactTier {
                 x: enclose_input(x, noise),
+                gate: screening.is_active().then(|| enclose_input_float(x, noise)),
                 label,
             },
         }
@@ -1327,5 +1381,118 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.contains("piecewise-linear"), "{err}");
+    }
+
+    /// The production (gated) check and the same check through a
+    /// cascade whose exact tier runs on every box it reaches.
+    fn gated_and_ungated(
+        c: &FaultChecker,
+        x: &[Rational],
+        label: usize,
+        noise: &NoiseRegion,
+        model: &FaultModel,
+    ) -> [(FaultOutcome, FaultStats); 2] {
+        let gated = c.check_with_noise(x, label, noise, model).unwrap();
+        let mut tiers = FaultTiers::new(&c.net, x, label, noise, c.config.screening);
+        tiers.exact.gate = None;
+        let ungated = c
+            .check_with_tiers(x, label, noise, model, &tiers, TierTimer::disabled())
+            .unwrap();
+        [gated, ungated]
+    }
+
+    const SCREENS: [ScreeningTier; 3] = [
+        ScreeningTier::Interval,
+        ScreeningTier::Zonotope,
+        ScreeningTier::Cascade,
+    ];
+
+    #[test]
+    fn exact_gate_passes_near_ties_and_skips_clear_unknowns() {
+        let iv = FloatInterval::new;
+        // Straddling by a wide margin: exact cannot decide.
+        assert!(!exact_could_decide(&[iv(1.0, 10.0), iv(2.0, 9.0)], 0));
+        // Within rounding of proving label 0 (rival hi ≈ target lo)...
+        assert!(exact_could_decide(
+            &[iv(5.0, 10.0), iv(2.0, 5.0 + 1e-12)],
+            0
+        ));
+        // ...or of proving the flip (rival lo ≈ target hi).
+        assert!(exact_could_decide(&[iv(1.0, 5.0 + 1e-12), iv(5.0, 9.0)], 0));
+        // Unbounded enclosures never gate exact work out.
+        assert!(exact_could_decide(
+            &[FloatInterval::EVERYTHING, iv(0.0, 2.0)],
+            0
+        ));
+        assert!(exact_could_decide(
+            &[iv(1.0, 10.0), FloatInterval::EVERYTHING],
+            0
+        ));
+    }
+
+    #[test]
+    fn exact_gate_keeps_the_comparator_threshold_ties() {
+        // At ε = (x0−x1)/(x0+x1) the worst corner ties exactly: only the
+        // exact tier proves Robust, so the gate must let it run.
+        for (x0, x1) in [(100, 82), (7, 3), (50, 49), (10, 0)] {
+            let x = [r(x0), r(x1)];
+            let model = FaultModel::WeightNoise {
+                rel_eps: analytic_flip_eps(x0, x1),
+            };
+            for screening in SCREENS {
+                let c = FaultChecker::new(
+                    comparator(),
+                    FaultCheckerConfig::default().with_screening(screening),
+                );
+                let noise = NoiseRegion::symmetric(0, 2);
+                let [gated, ungated] = gated_and_ungated(&c, &x, 0, &noise, &model);
+                assert_eq!(gated.0, FaultOutcome::Robust, "({x0}, {x1}) {screening}");
+                assert_eq!(gated, ungated, "({x0}, {x1}) {screening}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// The exact-tier gate changes no outcome, witness or counter:
+        /// on random small integer networks, under every fault model and
+        /// screening tier, the gated checker equals the ungated one.
+        #[test]
+        fn exact_gate_is_identity_on_random_integer_networks(
+            seed in 0u64..10_000,
+            x0 in 1i64..=20,
+            x1 in 1i64..=20,
+            delta in 0i64..=3,
+            eps_numer in 0i64..=30,
+            budget in 1usize..=3,
+            neuron in 0usize..3,
+            stuck in -3i64..=3,
+        ) {
+            let net = crate::test_nets::small_integer_net(seed);
+            let x = [r(i128::from(x0)), r(i128::from(x1))];
+            let label = net.classify(&x).unwrap();
+            let noise = NoiseRegion::symmetric(delta, 2);
+            let models = [
+                FaultModel::WeightNoise { rel_eps: rq(i128::from(eps_numer), 100) },
+                FaultModel::Quantization { denom_bits: 2 },
+                FaultModel::BitFlips { budget },
+                FaultModel::StuckAt { layer: 0, neuron, value: r(i128::from(stuck)) },
+            ];
+            for model in &models {
+                for screening in SCREENS {
+                    let c = FaultChecker::new(
+                        net.clone(),
+                        FaultCheckerConfig::default()
+                            .with_screening(screening)
+                            .with_max_boxes(200),
+                    );
+                    let [gated, ungated] = gated_and_ungated(&c, &x, label, &noise, model);
+                    proptest::prop_assert_eq!(
+                        gated, ungated, "seed {} x {:?} δ {} {} {}", seed, x, delta, model, screening
+                    );
+                }
+            }
+        }
     }
 }

@@ -33,7 +33,9 @@ use fannet_verify::noise::NoiseVector;
 use fannet_verify::region::NoiseRegion;
 use serde::{Deserialize, Serialize};
 
-use crate::checker::{lift_is_exact, probe_concrete, validate_query, FaultCheckerConfig};
+use crate::checker::{
+    exact_could_decide, lift_is_exact, probe_concrete, validate_query, FaultCheckerConfig,
+};
 use crate::model::FaultModel;
 use crate::propagate::{
     classify_box, classify_box_float, classify_box_zonotope, enclose_input, enclose_input_float,
@@ -264,6 +266,21 @@ impl JointChecker {
         timer: TierTimer,
     ) -> Result<(JointOutcome, SearchStats), String> {
         validate_query(&self.net, x, label, noise)?;
+        let tiers = JointTiers::new(x, label, self.config.screening);
+        self.check_with_tiers(x, label, noise, model, &tiers, timer)
+    }
+
+    /// The validated body of [`JointChecker::check_timed`]: concrete
+    /// probes, then the budgeted product search over `tiers`.
+    fn check_with_tiers(
+        &self,
+        x: &[Rational],
+        label: usize,
+        noise: &NoiseRegion,
+        model: &FaultModel,
+        tiers: &JointTiers<'_>,
+        timer: TierTimer,
+    ) -> Result<(JointOutcome, SearchStats), String> {
         let fault_root = FaultRegion::lift(&self.net, model)?;
         let mut stats = SearchStats::default();
 
@@ -288,7 +305,6 @@ impl JointChecker {
             return Ok((JointOutcome::Vulnerable(w), stats));
         }
 
-        let tiers = JointTiers::new(x, label, self.config.screening);
         let domain = JointQuery {
             x,
             label,
@@ -475,10 +491,13 @@ impl Classifier<ProductRegion> for JointZonotopeScreen<'_> {
     }
 }
 
-/// Exact interval tier over product boxes — always last.
+/// Exact interval tier over product boxes — always last. Behind a
+/// screen (`gated`) a non-point box runs it only when its float
+/// enclosure is within rounding of deciding, as in the fault cascade.
 struct JointExactTier<'a> {
     x: &'a [Rational],
     label: usize,
+    gated: bool,
 }
 
 impl Classifier<ProductRegion> for JointExactTier<'_> {
@@ -486,6 +505,12 @@ impl Classifier<ProductRegion> for JointExactTier<'_> {
         TierKind::Exact
     }
     fn classify(&self, region: &ProductRegion) -> BoxVerdict {
+        if self.gated && !region.is_point() {
+            let enclosure = enclose_input_float(self.x, &region.noise);
+            if !exact_could_decide(&region.fault.float_outputs(&enclosure), self.label) {
+                return BoxVerdict::Unknown;
+            }
+        }
         classify_box(&region.output_intervals(self.x), self.label)
     }
 }
@@ -506,7 +531,11 @@ impl<'a> JointTiers<'a> {
             zonotope: screening
                 .uses_zonotope()
                 .then_some(JointZonotopeScreen { x, label }),
-            exact: JointExactTier { x, label },
+            exact: JointExactTier {
+                x,
+                label,
+                gated: screening.is_active(),
+            },
         }
     }
 
@@ -1015,5 +1044,101 @@ mod tests {
             .check(&[r(1), r(2)], 0, &NoiseRegion::symmetric(1, 2), &model)
             .unwrap_err();
         assert!(err.contains("piecewise-linear"), "{err}");
+    }
+
+    /// The production (gated) joint check and the same check through a
+    /// cascade whose exact tier runs on every box it reaches.
+    fn gated_and_ungated(
+        c: &JointChecker,
+        x: &[Rational],
+        label: usize,
+        noise: &NoiseRegion,
+        model: &FaultModel,
+    ) -> [(JointOutcome, SearchStats); 2] {
+        let gated = c.check(x, label, noise, model).unwrap();
+        let mut tiers = JointTiers::new(x, label, c.config.screening);
+        tiers.exact.gated = false;
+        let ungated = c
+            .check_with_tiers(x, label, noise, model, &tiers, TierTimer::disabled())
+            .unwrap();
+        [gated, ungated]
+    }
+
+    const SCREENS: [ScreeningTier; 3] = [
+        ScreeningTier::Interval,
+        ScreeningTier::Zonotope,
+        ScreeningTier::Cascade,
+    ];
+
+    #[test]
+    fn exact_gate_keeps_the_joint_threshold_ties() {
+        // At ε = (x0·(100−δ) − x1·(100+δ)) / (x0·(100−δ) + x1·(100+δ))
+        // the worst noise corner under the worst fault corner ties
+        // exactly, which only the exact tier proves.
+        for (x0, x1, delta) in [(100, 82, 2), (100, 82, 0), (7, 3, 1)] {
+            let (lo, hi) = (x0 * (100 - delta), x1 * (100 + delta));
+            let eps = rq(lo - hi, lo + hi);
+            assert!(jointly_robust(x0, x1, i64::try_from(delta).unwrap(), eps));
+            let x = [r(x0), r(x1)];
+            let noise = NoiseRegion::symmetric(i64::try_from(delta).unwrap(), 2);
+            let model = FaultModel::WeightNoise { rel_eps: eps };
+            for screening in SCREENS {
+                let c = JointChecker::new(
+                    comparator(),
+                    FaultCheckerConfig::default().with_screening(screening),
+                );
+                let [gated, ungated] = gated_and_ungated(&c, &x, 0, &noise, &model);
+                assert_eq!(
+                    gated.0,
+                    JointOutcome::Robust,
+                    "({x0}, {x1}) ±{delta} {screening}"
+                );
+                assert_eq!(gated, ungated, "({x0}, {x1}) ±{delta} {screening}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// The exact-tier gate changes no joint outcome, witness or
+        /// counter: on random small integer networks, under every fault
+        /// model and screening tier, gated equals ungated.
+        #[test]
+        fn exact_gate_is_identity_on_random_integer_networks(
+            seed in 0u64..10_000,
+            x0 in 1i64..=20,
+            x1 in 1i64..=20,
+            delta in 0i64..=3,
+            eps_numer in 0i64..=30,
+            budget in 1usize..=3,
+            neuron in 0usize..3,
+            stuck in -3i64..=3,
+        ) {
+            let net = crate::test_nets::small_integer_net(seed);
+            let x = [r(i128::from(x0)), r(i128::from(x1))];
+            let label = net.classify(&x).unwrap();
+            let noise = NoiseRegion::symmetric(delta, 2);
+            let models = [
+                FaultModel::WeightNoise { rel_eps: rq(i128::from(eps_numer), 100) },
+                FaultModel::Quantization { denom_bits: 2 },
+                FaultModel::BitFlips { budget },
+                FaultModel::StuckAt { layer: 0, neuron, value: r(i128::from(stuck)) },
+            ];
+            for model in &models {
+                for screening in SCREENS {
+                    let c = JointChecker::new(
+                        net.clone(),
+                        FaultCheckerConfig::default()
+                            .with_screening(screening)
+                            .with_max_boxes(200),
+                    );
+                    let [gated, ungated] = gated_and_ungated(&c, &x, label, &noise, model);
+                    proptest::prop_assert_eq!(
+                        gated, ungated, "seed {} x {:?} δ {} {} {}", seed, x, delta, model, screening
+                    );
+                }
+            }
+        }
     }
 }

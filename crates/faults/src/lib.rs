@@ -77,3 +77,31 @@ pub use checker::{
 pub use joint::{JointChecker, JointOutcome, JointTolerance, JointWitness, ProductRegion};
 pub use model::FaultModel;
 pub use region::{FaultRegion, FaultedNetwork};
+
+#[cfg(test)]
+mod test_nets {
+    use fannet_nn::{Activation, DenseLayer, Network, Readout};
+    use fannet_numeric::Rational;
+    use fannet_tensor::Matrix;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Random `2 → 3 → 2` ReLU network with integer weights and biases
+    /// in `[-3, 3]`: float propagation of small integers rounds only by
+    /// the enclosures' outward ulp steps, so exact ties survive into the
+    /// float enclosure as near-ties.
+    pub(crate) fn small_integer_net(seed: u64) -> Network<Rational> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut int = || Rational::from_integer(i128::from(rng.gen_range(-3i64..=3)));
+        let mut layer = |rows: usize, cols: usize, activation| {
+            let weights = (0..rows)
+                .map(|_| (0..cols).map(|_| int()).collect())
+                .collect();
+            let biases = (0..rows).map(|_| int()).collect();
+            DenseLayer::new(Matrix::from_rows(weights).unwrap(), biases, activation).unwrap()
+        };
+        let hidden = layer(3, 2, Activation::ReLU);
+        let output = layer(2, 3, Activation::Identity);
+        Network::new(vec![hidden, output], Readout::MaxPool).unwrap()
+    }
+}

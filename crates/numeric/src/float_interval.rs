@@ -14,7 +14,8 @@
 //! not heuristics: the float enclosure over-approximates the exact
 //! [`Interval`](crate::Interval) semantics, so "always correct" /
 //! "always wrong" classifications derived from it transfer to the exact
-//! network. Only `Unknown` falls back to exact rational propagation.
+//! network. Only `Unknown` needs further work: a split, or exact
+//! rational propagation where the domain keeps that tier.
 //!
 //! Endpoints may be infinite after overflow (still sound: the enclosure
 //! only widens). NaN never escapes: constructors reject it, and every

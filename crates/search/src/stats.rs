@@ -41,11 +41,11 @@ pub struct SearchStats {
     /// Singleton grid points decided by exact evaluation (input-noise
     /// domain: the ground-truth fallback below every screen).
     pub exact_evals: u64,
-    /// Boxes some screening tier decided on its own, making the exact
-    /// fallback unnecessary (aggregate over every active screen).
+    /// Boxes some screening tier decided on its own (aggregate over
+    /// every active screen).
     pub screen_hits: u64,
-    /// Boxes where every active screen returned `Unknown` and exact work
-    /// still had to run.
+    /// Boxes every active screen left `Unknown` (input-noise domain: a
+    /// point then gets an exact evaluation, any other box splits).
     pub screen_fallbacks: u64,
     /// Boxes the float-interval tier classified.
     pub interval_hits: u64,

@@ -22,8 +22,9 @@ pub enum ScreeningTier {
     /// Affine-form zonotope screen classifying on output differences
     /// (DESIGN.md §10).
     Zonotope,
-    /// Interval first, zonotope on interval-`Unknown`, exact last —
-    /// cheapest tier that can decide each box pays for it.
+    /// Interval first, zonotope on interval-`Unknown` — cheapest tier
+    /// that can decide each box pays for it (the fault domains keep a
+    /// gated exact tier last, DESIGN.md §11).
     Cascade,
 }
 

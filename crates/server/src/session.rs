@@ -589,10 +589,11 @@ fn process_frame(shared: &Shared, job: &Job, queue_ns: u64) -> (String, &'static
                     }
                     response
                 }
-                Err(message) => {
+                Err(err) => {
                     shared.metrics.begin_invalid();
                     conn_stats.count_invalid();
-                    Response::Error { id: None, message }
+                    id = err.id;
+                    err.into_response()
                 }
             }
         }

@@ -15,9 +15,10 @@
 //! * **cascade** — the float-interval screen
 //!   ([`crate::propagate::FloatShadow`], DESIGN.md §6) and the
 //!   correlation-tracking zonotope screen
-//!   ([`crate::zonotope::ZonotopeShadow`], DESIGN.md §10), with exact
-//!   rational propagation ([`crate::propagate::output_intervals`]) as
-//!   the complete fallback below them;
+//!   ([`crate::zonotope::ZonotopeShadow`], DESIGN.md §10); a box no
+//!   screen decides splits. Exact rational propagation
+//!   ([`crate::propagate::output_intervals`]) classifies whole boxes
+//!   only with no screen active, as the exact-only oracle;
 //! * **witnesses** — exact [`exact::Counterexample`] records; singleton
 //!   boxes are decided by ground-truth rational evaluation.
 //!
@@ -888,11 +889,12 @@ impl SearchDomain for QueryContext<'_> {
 impl QueryContext<'_> {
     /// Classifies one box through the active tiers, updating `stats`.
     ///
-    /// A box counts as a `screen_hit` when some screening tier made the
-    /// exact tier unnecessary, and as a `screen_fallback` when exact work
-    /// still had to run; `interval_*`/`zonotope_*` additionally record
-    /// which tier classified each screened box. Widths were validated at
-    /// query entry, so propagation cannot fail.
+    /// A box counts as a `screen_hit` when some screening tier decided
+    /// it, and as a `screen_fallback` when every screen returned
+    /// `Unknown` — a point then gets an exact evaluation, any other box
+    /// splits without exact work; `interval_*`/`zonotope_*` additionally
+    /// record which tier classified each screened box. Widths were
+    /// validated at query entry, so propagation cannot fail.
     ///
     /// `first` carries a batched tier-0 verdict when this box's float
     /// screening already ran in a [`QueryContext::prepare_batch`] pass;
@@ -943,15 +945,19 @@ impl QueryContext<'_> {
             };
         }
 
-        // Last tier: exact propagation when no screen could decide.
+        // Exact propagation of a whole box runs only in the exact-only
+        // oracle. Behind a screen a non-point `Unknown` splits instead:
+        // every split ends at grid points, which are decided exactly above,
+        // and depth-first left-first order reaches the same first witness.
+        // The pass decided no box behind a screen in any measured workload
+        // (DESIGN.md §6).
         if screened {
             if verdict == BoxVerdict::Unknown {
                 stats.screen_fallbacks += 1;
             } else {
                 stats.screen_hits += 1;
             }
-        }
-        if verdict == BoxVerdict::Unknown {
+        } else {
             let (exact_verdict, ns) = timer.time(|| {
                 let enclosure =
                     output_intervals_with(self.net, self.x, current, &mut scratch.exact)

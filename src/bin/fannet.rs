@@ -280,7 +280,7 @@ fn check(args: &[String]) -> Result<(), String> {
     if screening.is_active() {
         println!(
             "screening [{screening}]: interval tier decided {} of {} boxes, \
-             zonotope tier {} of {}, exact tier ran on {}",
+             zonotope tier {} of {}, {} left undecided (points evaluated exactly, boxes split)",
             stats.interval_hits,
             stats.interval_hits + stats.interval_fallbacks,
             stats.zonotope_hits,
@@ -697,10 +697,9 @@ fn serving_engine(args: &[String]) -> Result<(Arc<Engine>, SessionConfig), Strin
         fannet_obs::set_level(level);
     }
     // Parallelism is spent across requests, not inside one query. The
-    // default tier stays `interval` (the serving-latency sweet spot for
-    // typical request mixes — see DESIGN.md §10); `--screening cascade`
-    // adds the zonotope tier, `--no-screening` is the legacy spelling of
-    // `--screening none`. Verdicts are identical under every tier.
+    // default tier is `interval`; `--screening cascade` adds the zonotope
+    // tier, `--no-screening` is the legacy spelling of `--screening none`.
+    // Verdicts are identical under every tier.
     let screening = if has_switch(args, "--no-screening") {
         if flag(args, "--screening").is_some() {
             return Err("give either --screening or --no-screening, not both".to_string());
