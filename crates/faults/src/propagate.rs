@@ -35,7 +35,7 @@ use fannet_verify::propagate::float_factor;
 use fannet_verify::region::NoiseRegion;
 use fannet_verify::zonotope::{input_form, relu_form};
 
-use crate::region::{FaultRegion, FaultedNetwork};
+use crate::region::{FaultRegion, FaultedNetwork, ParamImage};
 
 // Re-exported classification entry points: the fault tiers reuse the
 // input-noise tie-break semantics verbatim.
@@ -117,10 +117,10 @@ impl FaultRegion {
         for layer in &self.layers {
             let mut next = Vec::with_capacity(layer.rows);
             for r in 0..layer.rows {
-                let row = &layer.weights[r * layer.cols..(r + 1) * layer.cols];
-                let mut z = float_iv(&layer.biases[r]);
+                let row = &layer.weight_images[r * layer.cols..(r + 1) * layer.cols];
+                let mut z = layer.bias_images[r].float;
                 for (w, a) in row.iter().zip(&acts) {
-                    z = z.add(&float_iv(w).mul_interval(a));
+                    z = z.add(&w.float.mul_interval(a));
                 }
                 next.push(apply_float(layer.activation, z));
             }
@@ -163,17 +163,17 @@ impl FaultRegion {
         for layer in &self.layers {
             let mut next = Vec::with_capacity(layer.rows);
             for r in 0..layer.rows {
-                let row = &layer.weights[r * layer.cols..(r + 1) * layer.cols];
-                let mut z = uncertain_constant(&layer.biases[r], &mut fault_symbol);
-                for (w, a) in row.iter().zip(&acts) {
+                let span = r * layer.cols..(r + 1) * layer.cols;
+                let row = layer.weights[span.clone()].iter();
+                let mut z =
+                    uncertain_constant(&layer.biases[r], &layer.bias_images[r], &mut fault_symbol);
+                for ((w, img), a) in row.zip(&layer.weight_images[span]).zip(&acts) {
                     let term = if w.is_point() {
-                        let (wc, ws) = enclose_rational(w.lo());
-                        a.scale(wc, ws)
+                        a.scale(img.center, img.radius)
                     } else {
-                        let (wc, wr) = center_radius(w);
                         let sym = fault_symbol;
                         fault_symbol += 1;
-                        mul_uncertain(a, wc, wr, sym)
+                        mul_uncertain(a, img.center, img.radius, sym)
                     };
                     z = z.add(&term);
                 }
@@ -214,45 +214,18 @@ fn apply_float(activation: fannet_nn::Activation, z: FloatInterval) -> FloatInte
     }
 }
 
-/// Outward float enclosure of an exact rational interval.
-fn float_iv(iv: &Interval) -> FloatInterval {
-    FloatInterval::from_rationals(iv.lo(), iv.hi())
-}
-
-/// A `(center, radius)` float cover of an exact interval:
-/// `[center − radius, center + radius] ⊇ [lo, hi]`, every rounded step
-/// charged upward.
-fn center_radius(iv: &Interval) -> (f64, f64) {
-    let (lc, ls) = enclose_rational(iv.lo());
-    let (hc, hs) = enclose_rational(iv.hi());
-    let sum = lc + hc;
-    let center = sum * 0.5; // ×0.5 is exact; only `sum` rounded
-    let diff = hc - lc;
-    let mut radius = (diff * 0.5).abs();
-    // Cover the rounding of `diff`, the conversion slacks of both
-    // endpoints, and the rounding of `sum` (which displaces the center).
-    radius = (radius + ulp_gap(diff)).next_up();
-    radius = (radius + ls.max(hs)).next_up();
-    radius = (radius + ulp_gap(sum)).next_up();
-    (center, radius)
-}
-
-/// A constant whose exact value lies in `iv`: point intervals become
-/// `center ± slack` (slack in the error term), faulted intervals carry
-/// their own shared symbol.
-fn uncertain_constant(iv: &Interval, fault_symbol: &mut usize) -> AffineForm {
+/// A constant whose exact value lies in `iv` (float image `img`): point
+/// intervals become `center ± slack` (slack in the error term), faulted
+/// intervals carry their own shared symbol.
+fn uncertain_constant(iv: &Interval, img: &ParamImage, fault_symbol: &mut usize) -> AffineForm {
+    let mut form = AffineForm::constant(img.center);
     if iv.is_point() {
-        let (c, s) = enclose_rational(iv.lo());
-        let mut form = AffineForm::constant(c);
-        form.add_err(s);
-        form
+        form.add_err(img.radius);
     } else {
-        let (c, r) = center_radius(iv);
-        let mut form = AffineForm::constant(c);
-        form.set_coeff(*fault_symbol, r);
+        form.set_coeff(*fault_symbol, img.radius);
         *fault_symbol += 1;
-        form
     }
+    form
 }
 
 /// `ŵ · a` for an uncertain multiplier `ŵ ∈ [wc − wr, wc + wr]` carrying
@@ -506,22 +479,7 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn center_radius_covers_both_endpoints() {
-        for (lo, hi) in [
-            (rq(1, 3), rq(2, 3)),
-            (rq(-7, 11), rq(22, 7)),
-            (rq(-5, 2), rq(-1, 2)),
-            (rq(1, 1_000_003), rq(1, 1_000_000)),
-        ] {
-            let (c, r) = center_radius(&Interval::new(lo, hi));
-            let lo_f = lo.to_f64();
-            let hi_f = hi.to_f64();
-            assert!(
-                c - r <= lo_f.next_up() && hi_f.next_down() <= c + r,
-                "[{c} ± {r}] must cover [{lo}, {hi}]"
-            );
-        }
-    }
 }
+
+#[cfg(test)]
+mod identity_tests;

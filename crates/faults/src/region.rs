@@ -25,15 +25,24 @@
 //! interval at its midpoint — the fault-space analogue of the noise-box
 //! split, refining the dependency-problem losses of interval-weight
 //! propagation.
+//!
+//! Every parameter interval carries its float image (`ParamImage`),
+//! built when the interval is made ([`FaultRegion::lift`], and
+//! [`FaultRegion::split`] for the bisected parameter only), so the float
+//! and zonotope tiers never convert exact rationals per box.
 
 use fannet_nn::{Activation, Network};
-use fannet_numeric::{Interval, Rational};
+use fannet_numeric::affine::{enclose_rational, ulp_gap};
+use fannet_numeric::{FloatInterval, Interval, Rational};
 use fannet_tensor::vector;
 
 use crate::model::FaultModel;
 
 /// A box of faulted parameter assignments: per-parameter exact intervals
 /// plus stuck-at output overrides.
+///
+/// Equality compares the exact intervals only: the cached float images
+/// are a pure function of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultRegion {
     pub(crate) layers: Vec<FaultLayer>,
@@ -41,17 +50,121 @@ pub struct FaultRegion {
 }
 
 /// One dense layer of the lifted network.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) struct FaultLayer {
     /// `rows × cols` weight intervals, row-major.
     pub(crate) weights: Vec<Interval>,
+    /// The float image of each weight interval (same order).
+    pub(crate) weight_images: Vec<ParamImage>,
     pub(crate) rows: usize,
     pub(crate) cols: usize,
     pub(crate) biases: Vec<Interval>,
+    /// The float image of each bias interval.
+    pub(crate) bias_images: Vec<ParamImage>,
     pub(crate) activation: Activation,
     /// Post-activation overrides `(neuron, value)` — applied after the
     /// activation function, before the next layer.
     pub(crate) stuck: Vec<(usize, Rational)>,
+}
+
+impl PartialEq for FaultLayer {
+    fn eq(&self, other: &Self) -> bool {
+        self.weights == other.weights
+            && self.rows == other.rows
+            && self.cols == other.cols
+            && self.biases == other.biases
+            && self.activation == other.activation
+            && self.stuck == other.stuck
+    }
+}
+
+impl Eq for FaultLayer {}
+
+/// The float image of one exact parameter interval — everything the
+/// float-side tiers and the split policy read of it, converted once
+/// (DESIGN.md §11).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ParamImage {
+    /// Outward float enclosure: the interval tier's multiplier.
+    pub(crate) float: FloatInterval,
+    /// The zonotope's cover `center ± radius` of the interval; for a
+    /// point parameter its [`enclose_rational`] pair `(value, slack)`.
+    pub(crate) center: f64,
+    pub(crate) radius: f64,
+    /// `to_f64` of the exact width — zero exactly for points, `+∞` when
+    /// the exact width overflows.
+    pub(crate) width: f64,
+    /// `to_f64` of the exact normalized width
+    /// (see [`FaultRegion::normalized_width`]), `+∞` on overflow.
+    pub(crate) normalized_width: f64,
+}
+
+impl ParamImage {
+    /// The image of `iv`: one [`enclose_rational`] per endpoint, shared
+    /// by the float enclosure and the zonotope cover.
+    pub(crate) fn of(iv: &Interval) -> Self {
+        let lo = enclose_rational(iv.lo());
+        if iv.is_point() {
+            return ParamImage {
+                float: FloatInterval::from_enclosure(lo),
+                center: lo.0,
+                radius: lo.1,
+                width: 0.0,
+                normalized_width: 0.0,
+            };
+        }
+        let hi = enclose_rational(iv.hi());
+        let (center, radius) = center_radius(lo, hi);
+        // The same operations as `Interval::width` and
+        // `normalized_width`, checked: an estimate is `+∞` exactly when
+        // the exact expression would overflow.
+        let width = iv.hi().checked_sub(iv.lo());
+        let normalized_width = width.and_then(|w| {
+            let mid = iv
+                .lo()
+                .checked_add(iv.hi())?
+                .checked_mul(Rational::new(1, 2))?;
+            w.checked_div(mid.abs().max(Rational::ONE))
+        });
+        ParamImage {
+            float: FloatInterval::from_endpoint_enclosures(lo, hi),
+            center,
+            radius,
+            width: width.map_or(f64::INFINITY, |w| w.to_f64()),
+            normalized_width: normalized_width.map_or(f64::INFINITY, |w| w.to_f64()),
+        }
+    }
+}
+
+/// A `(center, radius)` float cover of an exact interval from the
+/// [`enclose_rational`] pairs of its endpoints:
+/// `[center − radius, center + radius] ⊇ [lo, hi]`, every rounded step
+/// charged upward.
+fn center_radius((lc, ls): (f64, f64), (hc, hs): (f64, f64)) -> (f64, f64) {
+    let sum = lc + hc;
+    let center = sum * 0.5; // ×0.5 is exact; only `sum` rounded
+    let diff = hc - lc;
+    let mut radius = (diff * 0.5).abs();
+    // Cover the rounding of `diff`, the conversion slacks of both
+    // endpoints, and the rounding of `sum` (which displaces the center).
+    radius = (radius + ulp_gap(diff)).next_up();
+    radius = (radius + ls.max(hs)).next_up();
+    radius = (radius + ulp_gap(sum)).next_up();
+    (center, radius)
+}
+
+/// The split pre-filter (DESIGN.md §11): the smallest `to_f64` estimate
+/// that can still belong to an exact maximum. Each estimate is the exact
+/// value times `1 + θ` with `|θ| < 3.01·2⁻⁵³` (`Rational::to_f64` rounds
+/// at most three times), so the exact maximum and all of its exact ties
+/// estimate within `7·2⁻⁵³` of the largest estimate, far inside the
+/// `2⁻⁴⁰` margin; candidates at or above the floor are then compared
+/// exactly. `None` when every estimate is zero: estimates are zero
+/// exactly for point parameters, so the region is a point.
+fn prefilter_floor(estimates: impl Iterator<Item = f64>) -> Option<f64> {
+    const MARGIN: f64 = 1.0 - 1.0 / (1u64 << 40) as f64;
+    let max = estimates.fold(0.0, f64::max);
+    (max > 0.0).then_some(max * MARGIN)
 }
 
 /// Which parameter a split or witness refers to.
@@ -118,11 +231,15 @@ impl FaultRegion {
                     } if *sl == l => vec![(*neuron, *value)],
                     _ => Vec::new(),
                 };
+                let weights: Vec<Interval> = w.as_slice().iter().map(|&v| lift_param(v)).collect();
+                let biases: Vec<Interval> = layer.biases().iter().map(|&v| lift_param(v)).collect();
                 FaultLayer {
-                    weights: w.as_slice().iter().map(|&v| lift_param(v)).collect(),
+                    weight_images: weights.iter().map(ParamImage::of).collect(),
+                    weights,
                     rows: w.rows(),
                     cols: w.cols(),
-                    biases: layer.biases().iter().map(|&v| lift_param(v)).collect(),
+                    bias_images: biases.iter().map(ParamImage::of).collect(),
+                    biases,
                     activation: layer.activation(),
                     stuck,
                 }
@@ -149,73 +266,80 @@ impl FaultRegion {
     /// Number of parameters whose interval is not a single point.
     #[must_use]
     pub fn faulted_params(&self) -> usize {
-        self.params().filter(|(_, iv)| !iv.is_point()).count()
+        self.params().filter(|(_, iv, _)| !iv.is_point()).count()
     }
 
     /// `true` when every parameter interval is a point — propagation is
     /// then a concrete forward pass and the region cannot be split.
     #[must_use]
     pub fn is_point(&self) -> bool {
-        self.params().all(|(_, iv)| iv.is_point())
+        self.params().all(|(_, iv, _)| iv.is_point())
     }
 
-    /// All parameter intervals in the canonical order (per layer: weights
-    /// row-major, then biases) — the tie-break order of the split policy.
-    /// (The zonotope tier allocates its fault symbols in *propagation*
-    /// order — per neuron its bias, then its weights — which only needs
-    /// to be distinct and deterministic, not canonical.)
-    fn params(&self) -> impl Iterator<Item = (ParamRef, &Interval)> {
+    /// All parameter intervals with their images in the canonical order
+    /// (per layer: weights row-major, then biases) — the tie-break order
+    /// of the split policy. (The zonotope tier allocates its fault
+    /// symbols in *propagation* order — per neuron its bias, then its
+    /// weights — which only needs to be distinct and deterministic, not
+    /// canonical.)
+    fn params(&self) -> impl Iterator<Item = (ParamRef, &Interval, &ParamImage)> {
         self.layers.iter().enumerate().flat_map(|(l, layer)| {
-            layer
-                .weights
-                .iter()
+            let weights = layer.weights.iter().zip(&layer.weight_images);
+            let biases = layer.biases.iter().zip(&layer.bias_images);
+            weights
                 .enumerate()
-                .map(move |(i, iv)| (ParamRef::Weight { layer: l, index: i }, iv))
+                .map(move |(i, (iv, img))| (ParamRef::Weight { layer: l, index: i }, iv, img))
                 .chain(
-                    layer
-                        .biases
-                        .iter()
-                        .enumerate()
-                        .map(move |(i, iv)| (ParamRef::Bias { layer: l, index: i }, iv)),
+                    biases.enumerate().map(move |(i, (iv, img))| {
+                        (ParamRef::Bias { layer: l, index: i }, iv, img)
+                    }),
                 )
         })
     }
 
-    fn param_mut(&mut self, p: ParamRef) -> &mut Interval {
-        match p {
-            ParamRef::Weight { layer, index } => &mut self.layers[layer].weights[index],
-            ParamRef::Bias { layer, index } => &mut self.layers[layer].biases[index],
-        }
+    /// Replaces one parameter interval and refreshes its image.
+    fn set_param(&mut self, p: ParamRef, iv: Interval) {
+        let (slot, image) = match p {
+            ParamRef::Weight { layer, index } => {
+                let layer = &mut self.layers[layer];
+                (&mut layer.weights[index], &mut layer.weight_images[index])
+            }
+            ParamRef::Bias { layer, index } => {
+                let layer = &mut self.layers[layer];
+                (&mut layer.biases[index], &mut layer.bias_images[index])
+            }
+        };
+        *image = ParamImage::of(&iv);
+        *slot = iv;
     }
 
     /// Bisects the widest parameter interval at its midpoint — the split
     /// policy of the fault-space branch-and-bound (DESIGN.md §11): the
     /// widest absolute interval is where the dependency problem loses the
     /// most, ties break toward the canonical parameter order so the
-    /// search is deterministic.
+    /// search is deterministic. Only parameters whose cached width
+    /// estimate passes the pre-filter (`prefilter_floor`) are compared
+    /// exactly, which leaves the choice unchanged.
     ///
     /// Returns `None` for point regions.
     #[must_use]
     pub fn split(&self) -> Option<(FaultRegion, FaultRegion)> {
-        let (widest, _) =
-            self.params()
-                .filter(|(_, iv)| !iv.is_point())
-                .max_by(|(pa, a), (pb, b)| {
-                    // Strictly-wider wins; on ties the *earlier* parameter
-                    // wins, so reverse the positional order under max_by.
-                    a.width()
-                        .cmp(&b.width())
-                        .then_with(|| position_key(*pb).cmp(&position_key(*pa)))
-                })?;
-        let iv = match widest {
-            ParamRef::Weight { layer, index } => self.layers[layer].weights[index],
-            ParamRef::Bias { layer, index } => self.layers[layer].biases[index],
-        };
+        let floor = prefilter_floor(self.params().map(|(_, _, img)| img.width))?;
+        let (widest, iv, _) = self
+            .params()
+            .filter(|(_, _, img)| img.width >= floor)
+            .max_by(|(pa, a, _), (pb, b, _)| {
+                // Strictly-wider wins; on ties the *earlier* parameter
+                // wins, so reverse the positional order under max_by.
+                a.width()
+                    .cmp(&b.width())
+                    .then_with(|| position_key(*pb).cmp(&position_key(*pa)))
+            })?;
         let (lo_half, hi_half) = iv.bisect();
         let mut a = self.clone();
-        *a.param_mut(widest) = lo_half;
+        a.set_param(widest, lo_half);
         let mut b = self.clone();
-        *b.param_mut(widest) = hi_half;
+        b.set_param(widest, hi_half);
         Some((a, b))
     }
 
@@ -225,14 +349,20 @@ impl FaultRegion {
     /// the denominator at 1 keeps near-zero parameters from dominating;
     /// the adaptive joint split policy (DESIGN.md §12) compares this
     /// against the noise factor's normalized width. Zero for point
-    /// regions.
+    /// regions. Only parameters whose cached estimate passes the split
+    /// pre-filter are evaluated exactly.
     #[must_use]
     pub fn normalized_width(&self) -> Rational {
         let one = Rational::from_integer(1);
+        let Some(floor) = prefilter_floor(self.params().map(|(_, _, img)| img.normalized_width))
+        else {
+            return Rational::from_integer(0);
+        };
         self.params()
-            .map(|(_, iv)| iv.width() / iv.midpoint().abs().max(one))
+            .filter(|(_, _, img)| img.normalized_width >= floor)
+            .map(|(_, iv, _)| iv.width() / iv.midpoint().abs().max(one))
             .max()
-            .unwrap_or(Rational::from_integer(0))
+            .expect("a parameter passes its own floor")
     }
 
     /// The concrete network with every parameter at its interval
@@ -447,6 +577,10 @@ mod tests {
         Rational::from_integer(n)
     }
 
+    fn rq(n: i128, d: i128) -> Rational {
+        Rational::new(n, d)
+    }
+
     /// 2-3-2 ReLU network with mixed-sign weights.
     fn net() -> Network<Rational> {
         let hidden = DenseLayer::new(
@@ -613,5 +747,22 @@ mod tests {
         f.set_bias(1, 0, r(-5));
         assert_eq!(f.bias(1, 0), r(-5));
         assert_eq!(f.layer_shapes(), vec![(6, 3), (6, 2)]);
+    }
+    #[test]
+    fn center_radius_covers_both_endpoints() {
+        for (lo, hi) in [
+            (rq(1, 3), rq(2, 3)),
+            (rq(-7, 11), rq(22, 7)),
+            (rq(-5, 2), rq(-1, 2)),
+            (rq(1, 1_000_003), rq(1, 1_000_000)),
+        ] {
+            let (c, r) = center_radius(enclose_rational(lo), enclose_rational(hi));
+            let lo_f = lo.to_f64();
+            let hi_f = hi.to_f64();
+            assert!(
+                c - r <= lo_f.next_up() && hi_f.next_down() <= c + r,
+                "[{c} ± {r}] must cover [{lo}, {hi}]"
+            );
+        }
     }
 }

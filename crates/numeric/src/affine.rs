@@ -74,10 +74,17 @@ fn mul_up(a: f64, b: f64) -> f64 {
 /// most `u = 2⁻⁵³`, so the compound relative error is below `3.01·u` —
 /// strictly less than four neighbour gaps of the result. When the result
 /// round-trips exactly ([`Rational::from_f64_exact`]) the slack is zero.
+///
+/// Every finite `f64` is dyadic, so a reduced denominator that is not a
+/// power of two can never round-trip and skips the (gcd-bound) check.
+/// Dyadic values still take the round trip: it is *not* equivalent to
+/// counting significant bits, because `from_f64_exact` declines values
+/// below about `2⁻⁷⁴`, and those keep their slack.
 #[must_use]
 pub fn enclose_rational(v: Rational) -> (f64, f64) {
     let f = v.to_f64();
-    if Rational::from_f64_exact(f) == Some(v) {
+    let dyadic = v.denom().unsigned_abs().is_power_of_two();
+    if dyadic && Rational::from_f64_exact(f) == Some(v) {
         (f, 0.0)
     } else {
         (f, mul_up(4.0, ulp_gap(f)))
@@ -341,6 +348,80 @@ mod tests {
         let (c, s) = enclose_rational(v);
         assert!(s > 0.0);
         assert!((c - 7.0 / 3.0).abs() < 1e-9);
+    }
+
+    /// [`enclose_rational`] without the dyadic shortcut: the round trip
+    /// for every value.
+    fn enclose_by_round_trip(v: Rational) -> (f64, f64) {
+        let f = v.to_f64();
+        if Rational::from_f64_exact(f) == Some(v) {
+            (f, 0.0)
+        } else {
+            (f, mul_up(4.0, ulp_gap(f)))
+        }
+    }
+
+    fn bits((c, s): (f64, f64)) -> (u64, u64) {
+        (c.to_bits(), s.to_bits())
+    }
+
+    #[test]
+    fn enclose_rational_shortcut_keeps_the_round_trip_edges() {
+        let edge = 1i128 << 126; // denominators at the 2⁻⁷⁴ edge
+        for v in [
+            Rational::new(1, edge),
+            Rational::new((1 << 52) + 1, edge),
+            Rational::new((1 << 53) - 1, edge),
+            Rational::new((1 << 53) + 1, edge),
+            Rational::new(1, 1 << 100),
+            Rational::new(3, 1 << 75),
+            Rational::from_integer(i128::MAX), // to_f64 rounds up to 2¹²⁷
+            Rational::from_integer(-i128::MAX),
+            Rational::from_integer((1 << 120) + 1),
+            Rational::from_integer(1 << 126),
+            Rational::new(i128::MAX / 3, i128::MAX / 7 - 1),
+            Rational::new(1, 3),
+            Rational::new(-7, 1 << 40),
+            Rational::ZERO,
+        ] {
+            assert_eq!(
+                bits(enclose_rational(v)),
+                bits(enclose_by_round_trip(v)),
+                "{v}"
+            );
+        }
+        // The 2⁻⁷⁴ edge itself: exact above it, slack below it, even for
+        // a one-bit significand.
+        assert_eq!(enclose_rational(Rational::new(1 << 53, edge)).1, 0.0);
+        assert!(enclose_rational(Rational::new(1, edge)).1 > 0.0);
+        assert!(enclose_rational(Rational::from_integer(i128::MAX)).1 > 0.0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn enclose_rational_equals_the_round_trip_on_random_rationals(
+            num in -1_000_000_000_000i128..=1_000_000_000_000,
+            den in 1i128..=1_000_000_000_000,
+        ) {
+            let v = Rational::new(num, den);
+            proptest::prop_assert_eq!(bits(enclose_rational(v)), bits(enclose_by_round_trip(v)));
+        }
+
+        #[test]
+        fn enclose_rational_equals_the_round_trip_on_dyadics(
+            num in -(1i128 << 62)..=(1 << 62),
+            shift in 0u32..=126,
+            scale in 0u32..=64,
+        ) {
+            for v in [
+                Rational::new(num, 1 << shift),
+                Rational::from_integer(num.checked_shl(scale).filter(|s| s >> scale == num).unwrap_or(num)),
+            ] {
+                proptest::prop_assert_eq!(bits(enclose_rational(v)), bits(enclose_by_round_trip(v)), "{}", v);
+            }
+        }
     }
 
     #[test]

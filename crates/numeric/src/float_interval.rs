@@ -97,7 +97,13 @@ impl FloatInterval {
     /// error, and exactly-convertible values get a **point** interval.
     #[must_use]
     pub fn from_rational_point(v: Rational) -> Self {
-        let (c, slack) = enclose_rational(v);
+        Self::from_enclosure(enclose_rational(v))
+    }
+
+    /// The float enclosure of a real within `slack` of `c` — an
+    /// [`enclose_rational`] pair; a zero slack gives a point.
+    #[must_use]
+    pub fn from_enclosure((c, slack): (f64, f64)) -> Self {
         if slack == 0.0 {
             FloatInterval { lo: c, hi: c }
         } else {
@@ -111,8 +117,15 @@ impl FloatInterval {
     #[must_use]
     pub fn from_rationals(lo: Rational, hi: Rational) -> Self {
         debug_assert!(lo <= hi);
-        let lo = Self::from_rational_point(lo);
-        let hi = Self::from_rational_point(hi);
+        Self::from_endpoint_enclosures(enclose_rational(lo), enclose_rational(hi))
+    }
+
+    /// [`FloatInterval::from_rationals`] for a caller that already holds
+    /// the [`enclose_rational`] pairs of both endpoints.
+    #[must_use]
+    pub fn from_endpoint_enclosures(lo: (f64, f64), hi: (f64, f64)) -> Self {
+        let lo = Self::from_enclosure(lo);
+        let hi = Self::from_enclosure(hi);
         FloatInterval {
             lo: lo.lo,
             hi: hi.hi,

@@ -155,8 +155,10 @@ impl Rational {
     /// Every finite IEEE-754 double is a dyadic rational `m · 2^e`, so the
     /// conversion is lossless whenever the value fits in `i128` terms.
     ///
-    /// Returns `None` for NaN, infinities, and values whose exact expansion
-    /// overflows `i128`.
+    /// Returns `None` for NaN, infinities, magnitudes of `2¹²⁷` and above
+    /// (their numerator does not fit `i128`), and values below about
+    /// `2⁻⁷⁴` whose significand would need a denominator beyond `2¹²⁶`
+    /// before reduction.
     ///
     /// # Examples
     ///
@@ -184,8 +186,13 @@ impl Rational {
         };
         let m = i128::from(mantissa);
         if exponent >= 0 {
-            let shifted = m.checked_shl(u32::try_from(exponent).ok()?)?;
-            Some(Rational::new(sign * shifted, 1))
+            // `checked_shl` only rejects shift amounts ≥ 128; bits shifted
+            // into or past the sign bit must be caught here.
+            let shift = u32::try_from(exponent).ok()?;
+            if shift >= m.leading_zeros() {
+                return None;
+            }
+            Some(Rational::new(sign * (m << shift), 1))
         } else {
             let shift = u32::try_from(-exponent).ok()?;
             if shift >= 127 {
@@ -864,6 +871,56 @@ mod tests {
         for v in [0.1, -2.625, 1e-10, 12345.6789, -0.333333] {
             let r = Rational::from_f64_exact(v).expect("finite");
             assert_eq!(r.to_f64(), v, "exact conversion must round-trip for {v}");
+        }
+    }
+
+    #[test]
+    fn from_f64_exact_rejects_values_beyond_i128() {
+        let p = |e: i32| 2f64.powi(e);
+        // Largest fitting magnitudes: a 53-bit significand shifted to
+        // just below the sign bit, and the largest f64 below 2¹²⁷.
+        let top = Rational::from_f64_exact(1.5 * p(125)).expect("fits");
+        assert_eq!(top, Rational::from_integer(3 << 124));
+        let below = p(127).next_down();
+        assert_eq!(
+            Rational::from_f64_exact(-below),
+            Some(Rational::from_integer(-(i128::MAX - ((1 << 74) - 1))))
+        );
+        // At and beyond 2¹²⁷ the numerator does not fit: these used to
+        // come back as wrong values (−8.5e37, 0) or panic.
+        for v in [1.5 * p(127), 1.5 * p(128), 1.5 * p(150), p(127), -p(127)] {
+            assert_eq!(Rational::from_f64_exact(v), None, "{v:e}");
+        }
+        assert_eq!(Rational::from_f64_exact(f64::MAX), None);
+    }
+
+    proptest::proptest! {
+        /// Whatever `from_f64_exact` returns is the input itself.
+        #[test]
+        fn from_f64_exact_some_is_exact(bits in 0u64..=u64::MAX) {
+            let v = f64::from_bits(bits);
+            if let Some(r) = Rational::from_f64_exact(v) {
+                proptest::prop_assert_eq!(r.to_f64().to_bits(), v.to_bits(), "{:e} -> {}", v, r);
+            }
+        }
+
+        /// The same over finite values of moderate exponent, where most
+        /// inputs convert (uniform bit patterns are mostly out of range).
+        #[test]
+        fn from_f64_exact_round_trips_moderate_exponents(
+            mantissa in 0u64..(1 << 52),
+            exponent in 900u64..=1200,
+            negative in 0u8..=1,
+        ) {
+            let bits = (u64::from(negative) << 63) | (exponent << 52) | mantissa;
+            let v = f64::from_bits(bits);
+            match Rational::from_f64_exact(v) {
+                Some(r) => proptest::prop_assert_eq!(r.to_f64().to_bits(), bits),
+                None => proptest::prop_assert!(
+                    v.abs() >= 2f64.powi(127) || v.abs() < 2f64.powi(-74),
+                    "{:e} is representable yet rejected", v
+                ),
+            }
         }
     }
 

@@ -217,14 +217,19 @@ impl Connection {
     /// invariant the concurrency tests assert) — while the write phase,
     /// the timeline ring entry and the trace-event rows land right
     /// after the write returns.
+    ///
+    /// The line and its newline go out in one `write_all`: written
+    /// separately, the newline sits behind Nagle's algorithm until the
+    /// client's delayed ACK of the line arrives (DESIGN.md §13).
     fn complete(&self, shared: &Shared, seq: u64, line: String, meta: RequestMeta) {
         let mut out = self.out.lock().expect("connection lock poisoned");
         out.pending.insert(seq, Pending { line, meta });
         loop {
             let next = out.next;
-            let Some(Pending { line, meta }) = out.pending.remove(&next) else {
+            let Some(Pending { mut line, meta }) = out.pending.remove(&next) else {
                 break;
             };
+            line.push('\n');
             out.next += 1;
             let write_start = Instant::now();
             let sequence_ns = ns_between(meta.parked, write_start);
@@ -235,7 +240,6 @@ impl Connection {
             if let Some(writer) = out.writer.as_mut() {
                 let result = writer
                     .write_all(line.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
                     .and_then(|()| writer.flush());
                 if result.is_err() {
                     // Dead client: contain it, keep the session alive.
@@ -248,7 +252,7 @@ impl Connection {
             let wall_ns = ns_between(meta.enqueued, Instant::now());
             shared.metrics.record_write_phase(write_ns);
             if wrote {
-                self.stats.add_bytes_out(line.len() as u64 + 1);
+                self.stats.add_bytes_out(line.len() as u64);
             }
             shared.metrics.record_timeline(RequestTimeline {
                 conn: self.stats.id,
@@ -746,5 +750,67 @@ impl Write for SharedBuffer {
 
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fannet_engine::EngineConfig;
+    use fannet_nn::{Activation, DenseLayer, Network, Readout};
+    use fannet_numeric::Rational;
+    use fannet_tensor::Matrix;
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Clone, Default)]
+    struct RecordingWriter(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn engine() -> Arc<Engine> {
+        let r = Rational::from_integer;
+        let layer = DenseLayer::new(
+            Matrix::from_rows(vec![vec![r(1), r(0)], vec![r(0), r(1)]]).unwrap(),
+            vec![r(0), r(0)],
+            Activation::Identity,
+        )
+        .unwrap();
+        let net = Network::new(vec![layer], Readout::MaxPool).unwrap();
+        Arc::new(Engine::new(net, EngineConfig::serving()))
+    }
+
+    #[test]
+    fn each_response_goes_out_in_one_write_ending_in_a_newline() {
+        let input = concat!(
+            r#"{"op":"check","id":1,"input":[100,82],"label":0,"delta":5}"#,
+            "\n",
+            r#"{"op":"tolerance","id":2,"input":[100,82],"label":0,"max_delta":20}"#,
+            "\n",
+            "not json\n",
+        );
+        let writes = RecordingWriter::default();
+        let session = Session::new(engine(), &SessionConfig::with_workers(2));
+        let conn = session.open_connection("test", Box::new(writes.clone()));
+        session.run_reader(&conn, std::io::Cursor::new(input));
+        session.drain();
+
+        let writes = writes.0.lock().unwrap();
+        assert_eq!(writes.len(), 3, "one write per response");
+        for write in writes.iter() {
+            assert_eq!(write.last(), Some(&b'\n'));
+            assert_eq!(write.iter().filter(|&&b| b == b'\n').count(), 1);
+        }
+        // `bytes_out` still counts each line plus its newline.
+        let total: usize = writes.iter().map(Vec::len).sum();
+        assert_eq!(conn.stats.bytes_out_total(), total as u64);
     }
 }

@@ -70,6 +70,9 @@ pub fn serve_tcp<A: ToSocketAddrs>(
                 if stream.set_read_timeout(Some(READ_POLL)).is_err() {
                     continue;
                 }
+                // Each response is one complete line written at once;
+                // holding it back for coalescing only adds latency.
+                let _ = stream.set_nodelay(true);
                 let Ok(writer) = stream.try_clone() else {
                     continue;
                 };
